@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/serve"
 )
@@ -18,7 +17,7 @@ import (
 // prove append-only growth, and a pin edited to disagree with the
 // server (rewritten root, truncated size, swapped key) fails loudly.
 func TestVerifierAgainstLiveServer(t *testing.T) {
-	s := serve.New(serve.Config{BatchWindow: 100 * time.Microsecond})
+	s := serve.New(serve.Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ektelo-serve [-addr :8199] [-window 250us] [-replicates 3]
+//	ektelo-serve [-addr :8199] [-replicates 3]
 //	             [-solver lsmr|cgls|normal|nnls] [-state-dir DIR]
 //	             [-persist wal|snapshot] [-fsync always|interval|never]
 //	             [-fsync-interval 100ms] [-checkpoint-every 64]
@@ -15,16 +15,20 @@
 //
 // The estimate panel behind every answer is solved by the block solver
 // named with -solver: lsmr (solver.LSMRMulti, the paper's §7.6 solver;
-// the default), cgls (solver.CGLSMulti), or normal (solver.NormalMulti
+// the default), cgls (solver.CGLSMulti), normal (solver.NormalMulti
 // over incrementally maintained normal-equation state — refreshes after
 // new measurements cost O(delta rows) instead of a full re-solve, with
 // answers bit-identical to a cold rebuild; see the internal/serve
-// package docs). A dataset created over HTTP may override the choice
-// per dataset with the "solver" field, and may set "damping" (lsmr and
-// normal only) to a Tikhonov λ that regularizes ill-conditioned
-// measurement logs. The iterative solvers also refresh incrementally:
-// each refresh warm-starts from the previous generation's panel and
-// stops at the cold solve's absolute convergence target.
+// package docs), or nnls (solver.NNLSMulti, non-negative estimates).
+// Concurrent queries on one dataset need no tuning: its batcher answers
+// every workload queued together in one panel pass, and those that
+// arrive meanwhile form the next batch. A dataset created over HTTP may
+// override the choice per dataset with the "solver" field, and may set
+// "damping" (lsmr and normal only) to a Tikhonov λ that regularizes
+// ill-conditioned measurement logs. The iterative solvers also refresh
+// incrementally: each refresh warm-starts from the previous
+// generation's panel and stops at the cold solve's absolute convergence
+// target.
 //
 // With -state-dir every measurement commit persists durably under that
 // directory, and re-creating a dataset name (preload included) restores
@@ -122,8 +126,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8199", "listen address")
-	window := flag.Duration("window", 250*time.Microsecond, "batcher coalescing window")
-	maxBatch := flag.Int("maxbatch", 64, "max client requests per answering panel")
 	replicates := flag.Int("replicates", 3, "bootstrap columns for per-answer error bars (-1 disables)")
 	solverName := flag.String("solver", "lsmr",
 		fmt.Sprintf("estimate-panel block solver %v; dataset creates may override per dataset", serve.Solvers()))
@@ -159,8 +161,6 @@ func main() {
 		}
 	}
 	s := serve.New(serve.Config{
-		BatchWindow:     *window,
-		MaxBatch:        *maxBatch,
 		Replicates:      *replicates,
 		Solver:          *solverName,
 		CacheSize:       *planCache,

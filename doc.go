@@ -2,10 +2,9 @@
 // "EKTELO: A Framework for Defining Differentially-Private
 // Computations" (Zhang et al., SIGMOD 2018).
 //
-// The library lives under internal/ (see DESIGN.md for the system
-// inventory); runnable entry points are the examples/ programs,
-// cmd/ektelo-bench — which regenerates every table and figure of the
-// paper's evaluation plus the engine (-exp matvec), blocked-Gram
+// The library lives under internal/; runnable entry points are the
+// examples/ programs, cmd/ektelo-bench — which regenerates every table
+// and figure of the paper's evaluation plus the engine (-exp matvec), blocked-Gram
 // (-exp gram), serve-load (-exp serve, and -exp serve -plan for the
 // plan-mode/cache load), multi-epsilon-sweep (-exp sweep) and
 // incremental-refresh (-exp incremental) and sharded-cluster
@@ -36,11 +35,13 @@
 // ROADMAP's north star describes: per-dataset warm vectorized state and
 // measurement logs, budget spending through per-request kernel
 // sessions, and a per-dataset batcher — hardened to survive a
-// panicking batch — that coalesces concurrent clients' range workloads
-// into one mat.MatMat panel pass over an estimate panel solved by a
-// block solver (solver.LSMRMulti, solver.CGLSMulti or the direct
-// normal-equations solver.NormalMulti, selected by Config.Solver or
-// per dataset at create time, optionally with Tikhonov damping;
+// panicking batch — that answers every client range workload queued
+// together in one mat.MatMat panel pass (natural batching: no timer,
+// the next batch is whatever queued during the last one) over an
+// estimate panel solved by a block solver (solver.LSMRMulti,
+// solver.CGLSMulti, the direct normal-equations solver.NormalMulti or
+// the non-negative solver.NNLSMulti, selected by Config.Solver or per
+// dataset at create time, optionally with Tikhonov damping;
 // column 0 the LS estimate, the rest parametric-bootstrap replicates
 // that price per-answer error bars into the same solve, with the
 // solve's convergence state surfaced to clients).

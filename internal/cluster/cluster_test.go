@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/serve"
 )
@@ -38,7 +37,7 @@ func newTestCluster(t *testing.T, replicas int) *testCluster {
 	names := []string{"a", "b", "c"}
 	c.topo = Topology{Replicas: replicas}
 	for _, name := range names {
-		s := serve.New(serve.Config{BatchWindow: 100 * time.Microsecond})
+		s := serve.New(serve.Config{})
 		ts := httptest.NewServer(s.Handler())
 		c.servers[name] = s
 		c.listen[name] = ts

@@ -127,7 +127,7 @@ func ClusterBench(full bool) ClusterBenchReport {
 	listen := map[string]*httptest.Server{}
 	topo := cluster.Topology{Replicas: 2}
 	for _, n := range names {
-		s := serve.New(serve.Config{BatchWindow: 100 * time.Microsecond})
+		s := serve.New(serve.Config{})
 		ts := httptest.NewServer(s.Handler())
 		servers[n], listen[n] = s, ts
 		topo.Backends = append(topo.Backends, cluster.Backend{Name: n, Addr: ts.URL})

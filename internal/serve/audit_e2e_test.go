@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"testing"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/core/plans"
@@ -53,7 +52,7 @@ func TestAuditEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{BatchWindow: 100 * time.Microsecond, StateDir: dir, AuditKey: priv}
+	cfg := Config{StateDir: dir, AuditKey: priv}
 
 	s1 := New(cfg)
 	ts1 := httptest.NewServer(s1.Handler())

@@ -9,7 +9,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/mat"
@@ -22,7 +21,7 @@ import (
 // HTTP), and a resync from offset zero serves a regenerated bootstrap
 // stream that brings a fresh follower to a bit-identical replica.
 func TestReplStreamTrimFloor(t *testing.T) {
-	s := New(Config{BatchWindow: 100 * time.Microsecond, ReplRetain: 4})
+	s := New(Config{ReplRetain: 4})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -62,7 +61,7 @@ func TestReplStreamTrimFloor(t *testing.T) {
 	// Offset zero is the resync path: a regenerated bootstrap stream
 	// (identity + collapsed ledger + full log) that lands a cold
 	// follower at the primary's exact state.
-	fs := New(Config{BatchWindow: 100 * time.Microsecond})
+	fs := New(Config{})
 	defer fs.Close()
 	fd, err := fs.CreateFollower("ds", 64, 50, 17, SolverNormal, 0, ts.URL)
 	if err != nil {

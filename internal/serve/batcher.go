@@ -3,23 +3,26 @@ package serve
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/mat"
 )
 
 // batcher coalesces concurrent clients' query workloads on one dataset
-// into panel batches. The first queued request opens a short window
-// (Config.BatchWindow); every request arriving inside it — up to
-// Config.MaxBatch — shares one MatMat panel pass. Under a single
-// client the window only adds latency after the queue is observed
-// empty, so sequential callers still see one solve + one pass each.
+// into panel batches by natural batching, as in group commit: the loop
+// blocks for the first request, takes without waiting whatever else is
+// already queued (up to maxBatch), answers that batch with one MatMat
+// panel pass and repeats. Requests that arrive while a batch is being
+// solved or answered queue up and form the next batch, so batches grow
+// with load on their own and a lone client never waits on a timer.
 type batcher struct {
 	d    *Dataset
 	in   chan *queryReq
 	quit chan struct{}
 	done chan struct{}
 }
+
+// maxBatch caps the client requests answered by one panel pass.
+const maxBatch = 64
 
 type queryReq struct {
 	ranges []mat.Range1D
@@ -73,34 +76,26 @@ func (b *batcher) stop() {
 
 func (b *batcher) loop() {
 	defer close(b.done)
+	batch := make([]*queryReq, 0, maxBatch)
 	for {
-		// Wait for the batch opener.
-		var first *queryReq
 		select {
-		case first = <-b.in:
+		case req := <-b.in:
+			batch = append(batch[:0], req)
 		case <-b.quit:
 			b.drain(nil)
 			return
 		}
-		batch := []*queryReq{first}
-		// Coalescing window: accept more clients until it closes or the
-		// batch is full.
-		timer := time.NewTimer(b.d.cfg.BatchWindow)
-	window:
-		for len(batch) < b.d.cfg.MaxBatch {
+	fill:
+		for len(batch) < maxBatch {
 			select {
 			case req := <-b.in:
 				batch = append(batch, req)
-			case <-timer.C:
-				break window
-			case <-b.quit:
-				timer.Stop()
-				b.drain(batch)
-				return
+			default:
+				break fill
 			}
 		}
-		timer.Stop()
 		b.answerBatchSafe(batch)
+		clear(batch) // let answered workloads be collected while the loop idles
 	}
 }
 

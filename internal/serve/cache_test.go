@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/mat"
 )
@@ -15,7 +14,7 @@ import (
 // incremented only inside refreshLocked's solver dispatch) and identical
 // values, and a new measurement must invalidate it.
 func TestCacheHitSkipsSolveAndPanel(t *testing.T) {
-	s := New(Config{BatchWindow: 100 * time.Microsecond})
+	s := New(Config{})
 	defer s.Close()
 	d, err := s.CreateDataset("c", "piecewise", 64, 10000, 5, 50)
 	if err != nil {
@@ -153,7 +152,7 @@ func TestCacheDisabled(t *testing.T) {
 // bit-match an uncached answer of the same workload, and the hit
 // counters must add up.
 func TestCacheConcurrentClients(t *testing.T) {
-	s := New(Config{BatchWindow: 500 * time.Microsecond})
+	s := New(Config{})
 	defer s.Close()
 	d, err := s.CreateDataset("cc", "piecewise", 64, 10000, 17, 200)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // update regenerates the golden session transcript:
@@ -87,10 +86,9 @@ func (g *goldenClient) do(note, method, path string, body any) json.RawMessage {
 func TestGoldenSession(t *testing.T) {
 	stateDir := t.TempDir()
 	cfg := Config{
-		BatchWindow: 200 * time.Microsecond,
-		Replicates:  2,
-		Solver:      SolverLSMR,
-		StateDir:    stateDir,
+		Replicates: 2,
+		Solver:     SolverLSMR,
+		StateDir:   stateDir,
 	}
 	create := createRequest{
 		Name: "golden", Kind: "piecewise", N: 64, Scale: 20000, Seed: 5, EpsTotal: 10,

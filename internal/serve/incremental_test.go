@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/mat"
 )
@@ -27,9 +26,9 @@ func incrementalWorkload(domain int) []mat.Range1D {
 // seeded dataset forced to rebuild cold every round — at every
 // generation — while its summary counts the warm refreshes.
 func TestIncrementalNormalWarmColdBitIdentical(t *testing.T) {
-	warmSrv := New(Config{BatchWindow: time.Microsecond})
+	warmSrv := New(Config{})
 	defer warmSrv.Close()
-	coldSrv := New(Config{BatchWindow: time.Microsecond, ColdRefresh: true})
+	coldSrv := New(Config{ColdRefresh: true})
 	defer coldSrv.Close()
 	const domain, rounds = 32, 8
 	wd, err := warmSrv.CreateDatasetWithOptions("inc", "piecewise", domain, 1000, 19, 50, SolverNormal, 0)
@@ -90,7 +89,7 @@ func TestIncrementalNormalWarmColdBitIdentical(t *testing.T) {
 func TestIncrementalNormalMatchesLSMR(t *testing.T) {
 	const domain = 32
 	mk := func(solver string) (*Server, *Dataset) {
-		s := New(Config{BatchWindow: time.Microsecond})
+		s := New(Config{})
 		d, err := s.CreateDatasetWithOptions("x", "piecewise", domain, 1000, 23, 50, solver, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -130,7 +129,7 @@ func TestIncrementalNormalMatchesLSMR(t *testing.T) {
 // applied to already-covered blocks, the cached normal state cannot be
 // extended and the refresh must rebuild cold.
 func TestIncrementalWeightChangeFallsBackCold(t *testing.T) {
-	s := New(Config{BatchWindow: time.Microsecond})
+	s := New(Config{})
 	defer s.Close()
 	const domain = 16
 	d, err := s.CreateDatasetWithOptions("w", "piecewise", domain, 1000, 31, 50, SolverNormal, 0)
@@ -183,7 +182,7 @@ func TestIncrementalNormalRestartBitIdentical(t *testing.T) {
 	w := incrementalWorkload(domain)
 
 	mk := func() (*Server, *Dataset) {
-		s := New(Config{BatchWindow: time.Microsecond, StateDir: dir})
+		s := New(Config{StateDir: dir})
 		d, err := s.CreateDatasetWithOptions("r", "piecewise", domain, 1000, 37, 50, SolverNormal, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -239,7 +238,7 @@ func TestIncrementalIterativeRestartWarmStart(t *testing.T) {
 	w := incrementalWorkload(domain)
 
 	mk := func() (*Server, *Dataset) {
-		s := New(Config{BatchWindow: time.Microsecond, StateDir: dir})
+		s := New(Config{StateDir: dir})
 		d, err := s.CreateDatasetWithOptions("it", "piecewise", domain, 1000, 41, 50, SolverLSMR, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -285,7 +284,7 @@ func TestIncrementalIterativeRestartWarmStart(t *testing.T) {
 // accepted only by the solvers that implement it, at create time and on
 // solver switches, and is reported in the summary.
 func TestIncrementalDampingValidation(t *testing.T) {
-	s := New(Config{BatchWindow: time.Microsecond})
+	s := New(Config{})
 	defer s.Close()
 	if _, err := s.CreateDatasetWithOptions("bad", "piecewise", 16, 1000, 3, 10, SolverCGLS, 0.5); err == nil {
 		t.Fatal("cgls dataset with damping accepted")
@@ -328,7 +327,7 @@ func TestIncrementalDampingValidation(t *testing.T) {
 // dataset — the new incremental state (cached Gram/RHS, counters,
 // per-block bootstrap noise) must hold up under -race.
 func TestIncrementalConcurrentMeasureQuery(t *testing.T) {
-	s := New(Config{BatchWindow: time.Microsecond})
+	s := New(Config{})
 	defer s.Close()
 	const domain = 16
 	d, err := s.CreateDatasetWithOptions("c", "piecewise", domain, 1000, 43, 200, SolverNormal, 0)

@@ -8,7 +8,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core/plans"
 	"repro/internal/mat"
@@ -20,7 +19,7 @@ import (
 // the compaction path gets constant exercise).
 func newPersistentServer(t *testing.T, dir string) *Server {
 	t.Helper()
-	s := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir, CheckpointEvery: 1})
+	s := New(Config{StateDir: dir, CheckpointEvery: 1})
 	t.Cleanup(s.Close)
 	return s
 }

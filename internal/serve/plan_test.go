@@ -4,7 +4,6 @@ import (
 	"math"
 	"net/http"
 	"testing"
-	"time"
 
 	"repro/internal/core/plans"
 )
@@ -164,7 +163,7 @@ func TestMeasureEndpointPlanMode(t *testing.T) {
 // portion charged (the privacy ledger cannot roll back) but adds
 // nothing to the measurement log.
 func TestPlanFailureKeepsSpentBudgetOutOfLog(t *testing.T) {
-	s := New(Config{BatchWindow: 100 * time.Microsecond})
+	s := New(Config{})
 	defer s.Close()
 	// AHP spends ρ·ε = 1 on partition selection, then needs (1−ρ)·ε = 1
 	// more for the measurement; a budget of 1.5 grants the first charge

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/core/plans"
 	"repro/internal/mat"
@@ -50,9 +49,9 @@ func bitsEqual(a, b []float64) bool {
 // noise is drawn per block in log order and therefore agrees across
 // processes seeded alike.
 func TestFollowerBitIdenticalAtEqualGeneration(t *testing.T) {
-	ps := New(Config{BatchWindow: 100 * time.Microsecond})
+	ps := New(Config{})
 	defer ps.Close()
-	fs := New(Config{BatchWindow: 100 * time.Microsecond})
+	fs := New(Config{})
 	defer fs.Close()
 
 	const seed = uint64(42)
@@ -342,7 +341,7 @@ func TestFollowerRejectsTamperedStream(t *testing.T) {
 // estimates end to end, warm-starts across generations, and rejects
 // damping (no damped FISTA form).
 func TestServeNNLSSolver(t *testing.T) {
-	s := New(Config{BatchWindow: 100 * time.Microsecond})
+	s := New(Config{})
 	defer s.Close()
 	d, err := s.CreateDatasetWithSolver("counts", "piecewise", 128, 50, 11, 10, SolverNNLS)
 	if err != nil {

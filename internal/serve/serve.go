@@ -11,15 +11,15 @@
 // executed by name (MeasurePlan / the /plan endpoint), whose
 // measurements — combinator plans included — land in the same warm log.
 // Query answering is pure post-processing: a per-dataset batcher
-// coalesces concurrent clients' range workloads into one panel and
-// answers them with a single mat.MatMat pass over the dataset's
-// estimate panel, and repeated workloads are memoized by a cache keyed
-// by (measurement-log generation, workload fingerprint, solver) — see
-// cache.go. With Config.StateDir set, every measurement commit is made
-// durable before the request returns and is restored (spent budget
-// included) when the dataset is re-created. The default backend
-// (Config.Persist = PersistWAL) appends one CRC-framed record per
-// commit to a per-dataset write-ahead log that is periodically
+// answers whatever clients' range workloads are queued together with a
+// single mat.MatMat pass over the dataset's estimate panel (natural
+// batching — see batcher.go), and repeated workloads are memoized by a
+// cache keyed by (measurement-log generation, workload fingerprint,
+// solver) — see cache.go. With Config.StateDir set, every measurement
+// commit is made durable before the request returns and is restored
+// (spent budget included) when the dataset is re-created. The default
+// backend (Config.Persist = PersistWAL) appends one CRC-framed record
+// per commit to a per-dataset write-ahead log that is periodically
 // compacted into a snapshot-format checkpoint; torn log tails truncate
 // cleanly on restart, and an unrecoverable disk error degrades the
 // dataset to explicit read-only (ErrReadOnly, HTTP 503) while queries
@@ -39,9 +39,10 @@
 //
 // The estimate panel is refreshed lazily after new measurements by one
 // block solve — solver.LSMRMulti (the paper's named solver),
-// solver.CGLSMulti, or the direct normal-equations solver.NormalMulti,
-// selected by Config.Solver or per dataset at create time (optionally
-// with Tikhonov damping λ): column 0 is the least-squares estimate of
+// solver.CGLSMulti, the direct normal-equations solver.NormalMulti, or
+// the non-negative solver.NNLSMulti, selected by Config.Solver or per
+// dataset at create time (optionally with Tikhonov damping λ, lsmr and
+// normal only): column 0 is the least-squares estimate of
 // the data vector from the full measurement log, and the remaining
 // columns are parametric-bootstrap replicates — the same system solved
 // against re-noised right-hand sides — whose spread yields per-answer
@@ -124,12 +125,6 @@ var (
 
 // Config tunes the service.
 type Config struct {
-	// BatchWindow is how long the batcher waits after the first queued
-	// request for more clients to coalesce; 0 means 250µs.
-	BatchWindow time.Duration
-	// MaxBatch caps the number of requests merged into one panel; 0
-	// means 64.
-	MaxBatch int
 	// Replicates is the number of bootstrap columns solved alongside the
 	// estimate for per-answer standard errors; negative disables error
 	// bars, 0 means 3.
@@ -137,9 +132,11 @@ type Config struct {
 	// MaxIter bounds the block solve; 0 means 400.
 	MaxIter int
 	// Solver selects the block solver for the estimate panel: "lsmr"
-	// (solver.LSMRMulti, the paper's named solver) or "cgls"
-	// (solver.CGLSMulti); "" means "cgls". Datasets created through the
-	// HTTP endpoint may override it per dataset.
+	// (solver.LSMRMulti, the paper's named solver), "cgls"
+	// (solver.CGLSMulti), "normal" (solver.NormalMulti over incremental
+	// normal-equation state) or "nnls" (solver.NNLSMulti, non-negative);
+	// "" means "cgls". Datasets created through the HTTP endpoint may
+	// override it per dataset.
 	Solver string
 	// CacheSize bounds the per-dataset workload-answer cache (entries
 	// keyed by measurement-log generation, workload fingerprint and
@@ -190,12 +187,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 250 * time.Microsecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.Replicates == 0 {
 		c.Replicates = 3
 	}
@@ -729,7 +720,8 @@ type Summary struct {
 	MeasuredRows int     `json:"measured_rows"`
 	Sessions     int     `json:"sessions"`
 	Queries      int     `json:"queries_in_history"`
-	// Solver is the estimate-panel solver ("cgls" or "lsmr").
+	// Solver is the estimate-panel solver: "cgls", "lsmr", "normal" or
+	// "nnls".
 	Solver string `json:"solver"`
 	// SolveIterations / SolveConverged report the last panel solve (zero
 	// iterations: no solve has run yet). A non-converged solve means the
@@ -1055,11 +1047,11 @@ func (d *Dataset) MeasurePlan(name string, eps float64, params plans.Params) (Pl
 
 // refreshLocked brings the estimate panel up to date with one block
 // solve. The "normal" solver takes the incremental normal-equation path
-// (refreshNormalLocked); the iterative solvers (LSMRMulti or CGLSMulti
-// per d.solver) re-solve the full weighted system, warm-started from
-// the previous generation's panel when one with the same shape exists —
-// the solver then works off only the delta the new measurement rows
-// introduced. Caller holds d.mu.
+// (refreshNormalLocked); the iterative solvers (LSMRMulti, CGLSMulti or
+// NNLSMulti per d.solver) re-solve the full weighted system,
+// warm-started from the previous generation's panel when one with the
+// same shape exists — the solver then works off only the delta the new
+// measurement rows introduced. Caller holds d.mu.
 func (d *Dataset) refreshLocked() error {
 	if !d.stale && d.panel != nil {
 		return nil
@@ -1105,44 +1097,37 @@ func (d *Dataset) refreshLocked() error {
 	// to solver tolerance, not bitwise — the "normal" solver is the
 	// bit-identical path (see the solver package docs).
 	warm := !d.cfg.ColdRefresh && d.panel != nil && d.k == k && len(d.panel) == d.n*k
-	var res solver.MultiResult
-	if d.solver == SolverNNLS {
-		// NNLSMulti applies the row weights itself and projects every
-		// FISTA iterate non-negative; the warm panel seeds it (clamped
-		// non-negative inside the solver). No TolFloor: FISTA's stopping
-		// rule is already absolute in the initial gradient norm, so a warm
-		// start cannot tighten its own target the way the relative
-		// cgls/lsmr rule would.
-		if warm {
-			opts.X0 = d.panel
-		}
-		res = solver.NNLSMulti(a, panelY, k, w, opts)
-	} else {
-		// Row weighting: scale matrix rows and right-hand sides alike, as
-		// solver.LeastSquares does for the single-RHS path.
-		av := a
-		if w != nil {
-			av = mat.RowScaled(w, a)
-			for i := 0; i < rows; i++ {
-				for j := 0; j < k; j++ {
-					panelY[i*k+j] *= w[i]
-				}
+	// Row weighting: scale matrix rows and right-hand sides alike, as
+	// solver.LeastSquares does for the single-RHS path (and as NNLSMulti
+	// would do itself, bit for bit, given the weights).
+	av := a
+	if w != nil {
+		av = mat.RowScaled(w, a)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < k; j++ {
+				panelY[i*k+j] *= w[i]
 			}
 		}
-		// The TolFloor pins each warm column's convergence target to the
-		// cold solve's absolute target (tol·‖Aᵀy_c‖) — without it the
-		// relative rule would make the warm solve chase tol times its own
-		// already-small start residual, a strictly tighter target that
-		// eats the savings.
-		if warm {
-			opts.X0 = d.panel
-			opts.TolFloor = d.coldTargets(av, panelY, k)
-		}
-		if d.solver == SolverLSMR {
-			res = solver.LSMRMulti(av, panelY, k, opts)
-		} else {
-			res = solver.CGLSMulti(av, panelY, k, opts)
-		}
+	}
+	// Every solver's stopping rule is relative to the start point's
+	// gradient norm, so a warm start alone would chase Tol times its own
+	// already-small gradient — a strictly tighter target that eats the
+	// savings. The TolFloor pins each warm column's target to the cold
+	// solve's absolute target (Tol·‖Aᵀy_c‖).
+	if warm {
+		opts.X0 = d.panel
+		opts.TolFloor = d.coldTargets(av, panelY, k)
+	}
+	var res solver.MultiResult
+	switch d.solver {
+	case SolverLSMR:
+		res = solver.LSMRMulti(av, panelY, k, opts)
+	case SolverNNLS:
+		// FISTA projects every iterate non-negative; the warm panel is
+		// clamped non-negative inside the solver.
+		res = solver.NNLSMulti(av, panelY, k, nil, opts)
+	default:
+		res = solver.CGLSMulti(av, panelY, k, opts)
 	}
 	d.panelSolves++
 	if warm {

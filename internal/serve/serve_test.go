@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +19,7 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(Config{BatchWindow: 200 * time.Microsecond})
+	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -243,11 +244,14 @@ func TestServeConcurrentClients(t *testing.T) {
 }
 
 // TestBatcherCoalescesConcurrentClients checks the panel batching tier
-// directly: many goroutines submitting together must share panels (at
-// least one batch carries more than one client) and every client gets
-// its own answers back, matching a direct single-client evaluation.
+// directly: requests that queue while a batch is being answered must
+// share the next panel (at least one batch carries more than one
+// client) and every client gets its own answers back, matching a direct
+// single-client evaluation. The test holds d.mu so the first batch
+// blocks inside answerBatch while the other clients queue, which makes
+// the coalescing deterministic without sleeps.
 func TestBatcherCoalescesConcurrentClients(t *testing.T) {
-	s := New(Config{BatchWindow: 2 * time.Millisecond})
+	s := New(Config{})
 	defer s.Close()
 	d, err := s.CreateDataset("b", "piecewise", 64, 10000, 5, 50)
 	if err != nil {
@@ -266,30 +270,35 @@ func TestBatcherCoalescesConcurrentClients(t *testing.T) {
 	}
 
 	const clients = 16
-	results := make([]QueryResult, clients)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			r, err := d.Query([]mat.Range1D{{Lo: 4, Hi: 40}, {Lo: c, Hi: c + 10}})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[c] = r
-		}(c)
+	reqs := make([]*queryReq, clients)
+	for c := range reqs {
+		reqs[c] = &queryReq{
+			ranges: []mat.Range1D{{Lo: 4, Hi: 40}, {Lo: c, Hi: c + 10}},
+			resp:   make(chan queryResp, 1),
+		}
 	}
-	wg.Wait()
+	// The loop takes the first request and blocks in answerBatch on the
+	// held mutex; the rest queue behind it and must form one batch.
+	d.mu.Lock()
+	d.batch.in <- reqs[0]
+	for len(d.batch.in) != 0 {
+		runtime.Gosched()
+	}
+	for _, r := range reqs[1:] {
+		d.batch.in <- r
+	}
+	d.mu.Unlock()
 
 	maxClients := 0
-	for c, r := range results {
-		if r.Answers[0] != single.Answers[0] {
-			t.Fatalf("client %d: batched answer %v != direct %v", c, r.Answers[0], single.Answers[0])
+	for c, req := range reqs {
+		r := <-req.resp
+		if r.err != nil {
+			t.Fatalf("client %d: %v", c, r.err)
 		}
-		if r.BatchClients > maxClients {
-			maxClients = r.BatchClients
+		if r.result.Answers[0] != single.Answers[0] {
+			t.Fatalf("client %d: batched answer %v != direct %v", c, r.result.Answers[0], single.Answers[0])
 		}
+		maxClients = max(maxClients, r.result.BatchClients)
 	}
 	if maxClients < 2 {
 		t.Fatalf("no coalescing observed (max batch clients %d)", maxClients)

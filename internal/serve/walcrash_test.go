@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"testing"
-	"time"
 
 	"repro/internal/core/plans"
 	"repro/internal/mat"
@@ -27,7 +26,7 @@ func restoreFromWAL(t *testing.T, walBytes []byte) *Dataset {
 	if err := os.WriteFile(walFilePath(dir, "crash"), walBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir})
+	s := New(Config{StateDir: dir})
 	t.Cleanup(s.Close)
 	d, err := s.CreateDataset("crash", "piecewise", 32, 5000, 3, 10)
 	if err != nil {
@@ -52,7 +51,7 @@ type crashRef struct {
 // prefix's (never re-granted), and never an error or panic.
 func TestWALCrashMatrix(t *testing.T) {
 	dir := t.TempDir()
-	s1 := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir})
+	s1 := New(Config{StateDir: dir})
 	d1, err := s1.CreateDataset("crash", "piecewise", 32, 5000, 3, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +193,7 @@ func TestWALCrashMatrix(t *testing.T) {
 func TestWALReadOnlyDegradation(t *testing.T) {
 	dir := t.TempDir()
 	fault := wal.NewFaultFS(nil)
-	s := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir, FS: fault})
+	s := New(Config{StateDir: dir, FS: fault})
 	d, err := s.CreateDataset("ro", "piecewise", 32, 5000, 3, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +247,7 @@ func TestWALReadOnlyDegradation(t *testing.T) {
 	s.Close()
 
 	// Restart on healthy disk: only the durable first commit survives.
-	s2 := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir})
+	s2 := New(Config{StateDir: dir})
 	defer s2.Close()
 	d2, err := s2.CreateDataset("ro", "piecewise", 32, 5000, 3, 10)
 	if err != nil {
@@ -271,7 +270,7 @@ func TestWALReadOnlyDegradation(t *testing.T) {
 // + log tail) must answer bitwise-identically with the exact budget.
 func TestWALCompactionRestart(t *testing.T) {
 	dir := t.TempDir()
-	s1 := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir, CheckpointEvery: 2})
+	s1 := New(Config{StateDir: dir, CheckpointEvery: 2})
 	d1, err := s1.CreateDataset("ck", "piecewise", 32, 5000, 3, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +301,7 @@ func TestWALCompactionRestart(t *testing.T) {
 		t.Fatalf("compacted log does not start at a checkpoint marker: %+v", recs)
 	}
 
-	s2 := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir, CheckpointEvery: 2})
+	s2 := New(Config{StateDir: dir, CheckpointEvery: 2})
 	defer s2.Close()
 	d2, err := s2.CreateDataset("ck", "piecewise", 32, 5000, 3, 10)
 	if err != nil {
@@ -331,7 +330,7 @@ func TestWALCompactionRestart(t *testing.T) {
 // fresh log.
 func TestWALLegacySnapshotMigration(t *testing.T) {
 	dir := t.TempDir()
-	s1 := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir, Persist: PersistSnapshot})
+	s1 := New(Config{StateDir: dir, Persist: PersistSnapshot})
 	d1, err := s1.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +348,7 @@ func TestWALLegacySnapshotMigration(t *testing.T) {
 		t.Fatalf("snapshot backend wrote a wal: %v", err)
 	}
 
-	s2 := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir})
+	s2 := New(Config{StateDir: dir})
 	defer s2.Close()
 	d2, err := s2.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
 	if err != nil {

@@ -363,12 +363,16 @@ func colNorm2(a []float64, k int, done []bool, out, sum []float64) {
 // MatMat/TMatMat. Weights, if non-nil, scale each measurement row as in
 // NNLS. opts.X0, when non-nil, is a cols×k row-major panel whose
 // columns (clamped non-negative, as in NNLS) seed the iteration;
-// MaxIter, Tol and Work behave as in NNLS, applied per column with
-// per-column convergence latches. opts.Damp is ignored.
+// MaxIter, Tol, TolFloor (length k when set) and Work behave as in
+// NNLS, applied per column with per-column convergence latches and
+// per-column momentum restarts. opts.Damp is ignored.
 func NNLSMulti(a mat.Matrix, y []float64, k int, weights []float64, opts Options) MultiResult {
 	ws := opts.Work
 	if k < 1 {
 		panic("solver: NNLSMulti needs k >= 1")
+	}
+	if len(opts.TolFloor) != 0 && len(opts.TolFloor) != k {
+		panic("solver: NNLSMulti TolFloor length mismatch")
 	}
 	if weights != nil {
 		a = mat.RowScaled(weights, a)
@@ -413,19 +417,27 @@ func NNLSMulti(a mat.Matrix, y []float64, k int, weights []float64, opts Options
 	xPrev := ws.Get(cols * k)
 	grad := ws.Get(cols * k)
 	resid := ws.Get(rows * k)
-	gradNorm0 := ws.Get(k)
+	target := ws.Get(k)
 	diff := ws.Get(k)
+	up := ws.Get(k)
+	t := ws.Get(k)
+	mom := ws.Get(k)
 	defer func() {
 		ws.Put(z)
 		ws.Put(xPrev)
 		ws.Put(grad)
 		ws.Put(resid)
-		ws.Put(gradNorm0)
+		ws.Put(target)
 		ws.Put(diff)
+		ws.Put(up)
+		ws.Put(t)
+		ws.Put(mom)
 	}()
+	for c := range t {
+		t[c] = 1
+	}
 	done := make([]bool, k)
 	active := k
-	t := 1.0
 	maxIter := opts.maxIter(cols)
 	tol := opts.tol()
 	for it := 0; it < maxIter && active > 0; it++ {
@@ -435,11 +447,16 @@ func NNLSMulti(a mat.Matrix, y []float64, k int, weights []float64, opts Options
 		colSub(resid, y, lat, k)
 		mat.TMatMat(a, grad, resid, k)
 		if it == 0 {
-			colNorm2(grad, k, lat, gradNorm0, diff)
+			colNorm2(grad, k, lat, target, diff)
 			for c := 0; c < k; c++ {
-				if gradNorm0[c] == 0 { // zero gradient: current x_c (zero or X0) is optimal
+				if target[c] == 0 { // zero gradient: current x_c (zero or X0) is optimal
 					done[c] = true
 					active--
+					continue
+				}
+				target[c] *= tol
+				if len(opts.TolFloor) > 0 && opts.TolFloor[c] > target[c] {
+					target[c] = opts.TolFloor[c]
 				}
 			}
 			if active == 0 {
@@ -447,20 +464,29 @@ func NNLSMulti(a mat.Matrix, y []float64, k int, weights []float64, opts Options
 			}
 			lat = latchMask(done, active, k)
 		}
-		// Projected gradient step from the momentum iterate.
-		colProjStep(x, xPrev, z, grad, step, lat, k)
-		tNext := (1 + math.Sqrt(1+4*t*t)) / 2
-		mom := (t - 1) / tNext
-		colMomentum(z, x, xPrev, mom, diff, lat, k)
-		t = tNext
-		res.Iterations = it + 1
-		// Converged when the projected step is tiny relative to the
-		// initial gradient scale (the scalar NNLS rule, per column).
+		// Projected gradient step from the momentum iterate, then the
+		// per-column restart test and momentum (see NNLS).
+		colProjStep(x, xPrev, z, grad, step, up, lat, k)
 		for c := 0; c < k; c++ {
 			if done[c] {
 				continue
 			}
-			if math.Sqrt(diff[c]) <= tol*step*gradNorm0[c] {
+			if up[c] > 0 {
+				t[c] = 1
+			}
+			tNext := (1 + math.Sqrt(1+4*t[c]*t[c])) / 2
+			mom[c] = (t[c] - 1) / tNext
+			t[c] = tNext
+		}
+		colMomentum(z, x, xPrev, mom, diff, lat, k)
+		res.Iterations = it + 1
+		// Converged when the projected step is tiny relative to the
+		// column's target (the scalar NNLS rule, per column).
+		for c := 0; c < k; c++ {
+			if done[c] {
+				continue
+			}
+			if math.Sqrt(diff[c]) <= step*target[c] {
 				done[c] = true
 				active--
 			}
@@ -495,9 +521,15 @@ func colSub(dst, y []float64, done []bool, k int) {
 	}
 }
 
-// colProjStep saves x into xPrev and takes the clamped gradient step
-// x[i,c] = max(0, z[i,c] − step·grad[i,c]), skipping latched columns.
-func colProjStep(x, xPrev, z, grad []float64, step float64, done []bool, k int) {
+// colProjStep saves x into xPrev, takes the clamped gradient step
+// x[i,c] = max(0, z[i,c] − step·grad[i,c]) and accumulates the restart
+// test ⟨z_c − x_c, x_c − xPrev_c⟩ into up[c], skipping latched columns.
+func colProjStep(x, xPrev, z, grad []float64, step float64, up []float64, done []bool, k int) {
+	for c := range up {
+		if done == nil || !done[c] {
+			up[c] = 0
+		}
+	}
 	for i := 0; i+k <= len(x); i += k {
 		xr := x[i : i+k]
 		pr := xPrev[i : i+k]
@@ -511,6 +543,7 @@ func colProjStep(x, xPrev, z, grad []float64, step float64, done []bool, k int) 
 					v = 0
 				}
 				xr[c] = v
+				up[c] += (zr[c] - v) * (v - pr[c])
 			}
 			continue
 		}
@@ -524,14 +557,15 @@ func colProjStep(x, xPrev, z, grad []float64, step float64, done []bool, k int) 
 				v = 0
 			}
 			xr[c] = v
+			up[c] += (zr[c] - v) * (v - pr[c])
 		}
 	}
 }
 
-// colMomentum applies the FISTA momentum update z = x + mom·(x − xPrev)
-// and accumulates the per-column squared step into diff, skipping
-// latched columns.
-func colMomentum(z, x, xPrev []float64, mom float64, diff []float64, done []bool, k int) {
+// colMomentum applies the FISTA momentum update
+// z = x + mom[c]·(x − xPrev) and accumulates the per-column squared step
+// into diff, skipping latched columns.
+func colMomentum(z, x, xPrev, mom, diff []float64, done []bool, k int) {
 	for c := range diff {
 		if done == nil || !done[c] {
 			diff[c] = 0
@@ -544,7 +578,7 @@ func colMomentum(z, x, xPrev []float64, mom float64, diff []float64, done []bool
 		if done == nil {
 			for c := range zr {
 				d := xr[c] - pr[c]
-				zr[c] = xr[c] + mom*d
+				zr[c] = xr[c] + mom[c]*d
 				diff[c] += d * d
 			}
 			continue
@@ -554,7 +588,7 @@ func colMomentum(z, x, xPrev []float64, mom float64, diff []float64, done []bool
 				continue
 			}
 			d := xr[c] - pr[c]
-			zr[c] = xr[c] + mom*d
+			zr[c] = xr[c] + mom[c]*d
 			diff[c] += d * d
 		}
 	}

@@ -80,9 +80,10 @@ type Options struct {
 	// solves use it to stop at the absolute quality a cold solve would
 	// reach (Tol·‖Aᵀy_c‖) instead of chasing Tol relative to an
 	// already-small warm residual. The Multi solvers require length k;
-	// the scalar solvers read TolFloor[0]; the NNLS family ignores it
-	// (its stopping rule tracks the projected step, not the gradient).
-	// A nil TolFloor leaves the pure relative rule untouched.
+	// the scalar solvers read TolFloor[0]. The NNLS family stops on the
+	// projected step instead, at step·max(Tol·‖g₀‖, TolFloor[c]) with g₀
+	// the start point's gradient, so the same cold target applies. A nil
+	// TolFloor leaves the pure relative rule untouched.
 	TolFloor []float64
 	// Work, when non-nil, supplies the solver's internal vectors so that
 	// repeated solves (MWEM rounds, HDMM scoring, per-epsilon trials)
@@ -310,7 +311,13 @@ func orthonormalizeCols(v []float64, n, k int) {
 
 // NNLS solves min_{x≥0} ‖Ax − y‖₂ (paper Definition 5.2) by FISTA
 // projected gradient with step 1/L, touching A only through mat-vec
-// products. It substitutes for the paper's L-BFGS-B (see DESIGN.md §5).
+// products. It substitutes for the paper's L-BFGS-B. Momentum restarts
+// adaptively (O'Donoghue & Candès, 2015, gradient scheme): whenever a
+// step moves against the generalized gradient, ⟨z − x, x − x_prev⟩ > 0,
+// t resets to 1, which removes FISTA's oscillation on the
+// ill-conditioned measurement systems it serves. The solve stops once
+// the projected step ‖x − x_prev‖ falls to step·max(Tol·‖g₀‖, TolFloor[0]),
+// g₀ being the gradient at the start point.
 func NNLS(a mat.Matrix, y []float64, weights []float64, opts Options) []float64 {
 	ws := opts.Work
 	if weights != nil {
@@ -350,8 +357,7 @@ func NNLS(a mat.Matrix, y []float64, weights []float64, opts Options) []float64 
 	}()
 	t := 1.0
 	maxIter := opts.maxIter(cols)
-	tol := opts.tol()
-	var gradNorm0 float64
+	var target float64
 	for k := 0; k < maxIter; k++ {
 		// grad = Aᵀ(Az − y)
 		a.MatVec(resid, z)
@@ -359,35 +365,39 @@ func NNLS(a mat.Matrix, y []float64, weights []float64, opts Options) []float64 
 			resid[i] -= y[i]
 		}
 		a.TMatVec(grad, resid)
-		gn := vec.Norm2(grad)
 		if k == 0 {
-			gradNorm0 = gn
-			if gradNorm0 == 0 {
+			gn := vec.Norm2(grad)
+			if gn == 0 {
 				return x
+			}
+			target = gn * opts.tol()
+			if len(opts.TolFloor) > 0 && opts.TolFloor[0] > target {
+				target = opts.TolFloor[0]
 			}
 		}
 		copy(xPrev, x)
+		var up float64 // restart test ⟨z − x, x − x_prev⟩
 		for i := range x {
 			v := z[i] - step*grad[i]
 			if v < 0 {
 				v = 0
 			}
 			x[i] = v
+			up += (z[i] - v) * (v - xPrev[i])
+		}
+		if up > 0 {
+			t = 1
 		}
 		tNext := (1 + math.Sqrt(1+4*t*t)) / 2
 		mom := (t - 1) / tNext
-		for i := range z {
-			z[i] = x[i] + mom*(x[i]-xPrev[i])
-		}
-		t = tNext
-		// Converged when the projected step is tiny relative to the initial
-		// gradient scale.
 		var diff float64
-		for i := range x {
+		for i := range z {
 			d := x[i] - xPrev[i]
+			z[i] = x[i] + mom*d
 			diff += d * d
 		}
-		if math.Sqrt(diff) <= tol*step*gradNorm0 {
+		t = tNext
+		if math.Sqrt(diff) <= step*target {
 			break
 		}
 	}

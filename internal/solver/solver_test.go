@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mat"
+	"repro/internal/noise"
 	"repro/internal/vec"
 )
 
@@ -144,6 +145,45 @@ func TestNNLSClampsActiveConstraint(t *testing.T) {
 	x := NNLS(a, []float64{-2}, nil, Options{MaxIter: 500})
 	if x[0] != 0 {
 		t.Fatalf("NNLS = %v, want 0", x[0])
+	}
+}
+
+// TestNNLSRestartConvergesOnMeasurementLog pins FISTA's adaptive
+// restart on the system the serve "nnls" solver meets: a hierarchical
+// measurement stacked with two identity measurements of a histogram
+// whose empty stretches make the non-negativity constraints active,
+// rows weighted by inverse noise scale. Without the restart the
+// momentum overshoots along the active constraints and the cold solve
+// runs past the serve layer's 400-iteration cap; with it the solve
+// converges inside the cap.
+func TestNNLSRestartConvergesOnMeasurementLog(t *testing.T) {
+	const n = 128
+	blocks := []mat.Matrix{TreeMatrix(n, 2), mat.Identity(n), mat.Identity(n)}
+	scales := []float64{8, 4, 4}
+	a := mat.VStack(blocks...)
+	rows, _ := a.Dims()
+	x := make([]float64, n)
+	for i := range x {
+		if (i/16)%2 == 0 {
+			x[i] = 150
+		}
+	}
+	y := make([]float64, rows)
+	a.MatVec(y, x)
+	w := make([]float64, rows)
+	rng := noise.NewRand(7)
+	off := 0
+	for bi, b := range blocks {
+		r, _ := b.Dims()
+		for i := off; i < off+r; i++ {
+			y[i] += noise.Laplace(rng, scales[bi])
+			w[i] = 1 / scales[bi]
+		}
+		off += r
+	}
+	res := NNLSMulti(a, y, 1, w, Options{MaxIter: 400})
+	if !res.Converged {
+		t.Fatalf("NNLS did not converge within 400 iterations (ran %d)", res.Iterations)
 	}
 }
 

@@ -164,11 +164,13 @@ func TestLSMRMultiDampedMatchesScalarBitIdentical(t *testing.T) {
 
 // TestTolFloorStopsAtAbsoluteTarget pins the Options.TolFloor contract
 // the serve layer's warm refreshes rely on: (1) a floor at or above the
-// start point's gradient norm converges in zero iterations with the
-// start returned unchanged, (2) a mid-range floor stops strictly
-// earlier than the pure relative rule while still converging, and
-// (3) per-column floors keep the Multi solvers bit-identical to the
-// scalar solvers given the matching TolFloor[0].
+// start point's gradient norm converges at once — in zero iterations
+// with the start returned unchanged for the gradient-norm rule of
+// CGLS/LSMR, after the single projected step that the NNLS step rule
+// bounds by step·‖g₀‖ — (2) a mid-range floor stops strictly earlier
+// than the pure relative rule while still converging, and (3) per-column
+// floors keep the Multi solvers bit-identical to the scalar solvers
+// given the matching TolFloor[0].
 func TestTolFloorStopsAtAbsoluteTarget(t *testing.T) {
 	defer mat.SetParallelism(0)
 	mat.SetParallelism(1)
@@ -193,12 +195,26 @@ func TestTolFloorStopsAtAbsoluteTarget(t *testing.T) {
 		grad0[c] = math.Sqrt(sum)
 	}
 
-	for sname, solve := range map[string]func(o Options) MultiResult{
-		"cgls": func(o Options) MultiResult { return CGLSMulti(m, y, k, o) },
-		"lsmr": func(o Options) MultiResult { return LSMRMulti(m, y, k, o) },
+	for sname, sv := range map[string]struct {
+		multi       func(o Options) MultiResult
+		scalar      func(yc []float64, o Options) []float64
+		atFloorIter int // iterations a floor above ‖g₀‖ costs
+	}{
+		"cgls": {
+			func(o Options) MultiResult { return CGLSMulti(m, y, k, o) },
+			func(yc []float64, o Options) []float64 { return CGLS(m, yc, o).X }, 0,
+		},
+		"lsmr": {
+			func(o Options) MultiResult { return LSMRMulti(m, y, k, o) },
+			func(yc []float64, o Options) []float64 { return LSMR(m, yc, o).X }, 0,
+		},
+		"nnls": {
+			func(o Options) MultiResult { return NNLSMulti(m, y, k, nil, o) },
+			func(yc []float64, o Options) []float64 { return NNLS(m, yc, nil, o) }, 1,
+		},
 	} {
 		base := Options{MaxIter: 400, Work: ws}
-		tight := solve(base)
+		tight := sv.multi(base)
 
 		huge := make([]float64, k)
 		for c := range huge {
@@ -206,14 +222,16 @@ func TestTolFloorStopsAtAbsoluteTarget(t *testing.T) {
 		}
 		o := base
 		o.TolFloor = huge
-		res := solve(o)
-		if !res.Converged || res.Iterations != 0 {
-			t.Fatalf("%s: floor above start gradient: iterations=%d converged=%v, want 0/true",
-				sname, res.Iterations, res.Converged)
+		res := sv.multi(o)
+		if !res.Converged || res.Iterations != sv.atFloorIter {
+			t.Fatalf("%s: floor above start gradient: iterations=%d converged=%v, want %d/true",
+				sname, res.Iterations, res.Converged, sv.atFloorIter)
 		}
-		for i, v := range res.X {
-			if v != 0 {
-				t.Fatalf("%s: floor above start gradient: X[%d]=%v, want the zero start unchanged", sname, i, v)
+		if sv.atFloorIter == 0 {
+			for i, v := range res.X {
+				if v != 0 {
+					t.Fatalf("%s: floor above start gradient: X[%d]=%v, want the zero start unchanged", sname, i, v)
+				}
 			}
 		}
 
@@ -222,7 +240,7 @@ func TestTolFloorStopsAtAbsoluteTarget(t *testing.T) {
 			mid[c] = 1e-4 * grad0[c]
 		}
 		o.TolFloor = mid
-		loose := solve(o)
+		loose := sv.multi(o)
 		if !loose.Converged || loose.Iterations >= tight.Iterations {
 			t.Fatalf("%s: mid floor ran %d iterations vs %d relative-rule, want strictly fewer and converged (%v)",
 				sname, loose.Iterations, tight.Iterations, loose.Converged)
@@ -231,12 +249,7 @@ func TestTolFloorStopsAtAbsoluteTarget(t *testing.T) {
 		for c := 0; c < k; c++ {
 			so := base
 			so.TolFloor = []float64{mid[c]}
-			var single []float64
-			if sname == "cgls" {
-				single = CGLS(m, extractCol(y, k, c), so).X
-			} else {
-				single = LSMR(m, extractCol(y, k, c), so).X
-			}
+			single := sv.scalar(extractCol(y, k, c), so)
 			for i := 0; i < cols; i++ {
 				if got, want := loose.X[i*k+c], single[i]; got != want {
 					t.Fatalf("%s: floored column %d diverges at %d: %v vs %v (not bit-identical)",
