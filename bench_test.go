@@ -376,7 +376,8 @@ func BenchmarkVectorize(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Ablation benchmarks for the design choices DESIGN.md calls out.
+// Ablation benchmarks for the reproduction's design choices: the
+// inference operator, the least-squares solver and workload reduction.
 // ---------------------------------------------------------------------
 
 // BenchmarkAblationInference compares the three inference operators on

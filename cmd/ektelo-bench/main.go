@@ -17,8 +17,9 @@
 // and the incremental experiment measures an MWEM/DAWA-style
 // append-query loop on the warm (incremental) vs forced-cold refresh
 // path, and the wal experiment counts the durable bytes per measurement
-// commit on the write-ahead-log backend vs the legacy full-snapshot
-// rewrite (with a restart bit-identity check), and the cluster
+// commit of the write-ahead log vs the checkpoint bytes of a dataset
+// that rewrites its full snapshot every commit (with a restart
+// bit-identity check), and the cluster
 // experiment drives a three-backend sharded serve cluster (router +
 // WAL-shipped read replicas) through read fan-out, replication-lag and
 // failover measurements; with -json each records its report

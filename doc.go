@@ -59,9 +59,9 @@
 // served with zero solver iterations and zero panel work, and any new
 // measurement bumps the generation, invalidating every cached answer.
 // With Config.StateDir set, each measurement commit is made durable
-// before the request returns. The default backend is a per-dataset
-// write-ahead log (internal/wal): one CRC32C-framed record per commit —
-// O(delta) bytes, ~16x fewer than the legacy full-snapshot rewrite
+// before the request returns, through a per-dataset write-ahead log
+// (internal/wal): one CRC32C-framed record per commit — O(delta) bytes,
+// ~16x fewer than rewriting the full snapshot every commit
 // (BENCH_7.json) — with configurable fsync policy, periodic compaction
 // into a snapshot-format checkpoint, and torn-tail recovery (a crash
 // mid-append truncates at the first bad frame on restart; the clean

@@ -228,7 +228,7 @@ func readBody(req *http.Request) ([]byte, error) {
 		return nil, nil
 	}
 	defer req.Body.Close()
-	return io.ReadAll(io.LimitReader(req.Body, 16<<20))
+	return io.ReadAll(io.LimitReader(req.Body, serve.MaxBodyBytes))
 }
 
 // owners returns the dataset's owner backends: primary first, then

@@ -167,8 +167,8 @@ type PartitionOp struct {
 	Split func(env *Env) error
 }
 
-func (o PartitionOp) Abbr() string { return o.Name }
-func (o PartitionOp) Class() Class { return Partition }
+func (o PartitionOp) Abbr() string       { return o.Name }
+func (o PartitionOp) Class() Class       { return Partition }
 func (o PartitionOp) Run(env *Env) error { return o.Split(env) }
 
 // MeasureOp is the Laplace query operator (LM, paper §5.2): it answers
@@ -220,8 +220,8 @@ type MetaOp struct {
 	Do   func(env *Env) error
 }
 
-func (o MetaOp) Abbr() string { return o.Name }
-func (o MetaOp) Class() Class { return Meta }
+func (o MetaOp) Abbr() string       { return o.Name }
+func (o MetaOp) Class() Class       { return Meta }
 func (o MetaOp) Run(env *Env) error { return o.Do(env) }
 
 // ---------------------------------------------------------------------

@@ -67,7 +67,8 @@ func AHPCluster(noisy []float64, eta, eps float64) Partition {
 //
 // The paper's DAWA uses an L1 deviation; the L2 form has an O(1)
 // incremental formula via prefix sums and selects near-identical
-// bucketings on the benchmark distributions (see DESIGN.md §5).
+// bucketings on the benchmark distributions (TestDawaCostAblation
+// compares it against the exact L1 DP, DawaL1PartitionExact).
 // maxBucket caps bucket width to keep the DP at O(n·maxBucket);
 // 0 means no cap.
 func DawaL1Partition(noisy []float64, eps2 float64, maxBucket int) Partition {

@@ -7,7 +7,8 @@ import (
 
 // This file implements DAWA's original L1 bucketing objective exactly,
 // as an ablation partner for the O(1)-incremental L2 objective used by
-// DawaL1Partition (see DESIGN.md §5). The exact interval cost is
+// DawaL1Partition (see its doc comment for why the substitution holds;
+// TestDawaCostAblation checks it). The exact interval cost is
 //
 //	cost(i,j) = min_c Σ_{k∈[i,j]} |x̃_k − c| + 1/eps2
 //	          = Σ |x̃_k − median| + 1/eps2,

@@ -27,8 +27,9 @@ func TestDawaL1ExactStep(t *testing.T) {
 	}
 }
 
-// TestDawaCostAblation verifies the substitution claim of DESIGN.md §5:
-// on the benchmark-style distributions the L2-cost bucketing selects a
+// TestDawaCostAblation verifies the claim behind substituting the L2
+// bucketing cost for DAWA's L1 cost (DawaL1Partition): on the
+// benchmark-style distributions the L2-cost bucketing selects a
 // partition whose downstream uniformity error is close to the exact
 // L1-cost bucketing's.
 func TestDawaCostAblation(t *testing.T) {

@@ -17,7 +17,10 @@ import (
 // where the Frobenius term is estimated stochastically using only
 // implicit mat-vec products: ‖WA⁺‖²_F = Σ_q ‖qA⁺‖² over workload rows q,
 // and z = qA⁺ is the minimum-norm solution of zA = q, obtained by CGLS
-// on Aᵀ (see DESIGN.md §5 for the substitution rationale).
+// on Aᵀ. This replaces HDMM's exact gradient-based optimization over a
+// parameterized strategy space with a search over a fixed template
+// family: the implicit estimate needs only mat-vec products, so the
+// optimizer scales to domains where A⁺ cannot be formed.
 
 // HDMMCandidates is the template family searched per dimension.
 func HDMMCandidates(n int) map[string]mat.Matrix {

@@ -9,8 +9,8 @@ import (
 
 // This file holds the synthetic data generators that substitute for the
 // paper's external datasets (DPBench 1-D distributions, the March-2000
-// CPS Census extract, and the Credit Default data). See DESIGN.md §5 for
-// the substitution rationale: each generator preserves the qualitative
+// CPS Census extract, and the Credit Default data), which are not
+// bundled with the code. Each generator preserves the qualitative
 // properties (skew, sparsity, cluster structure, attribute correlation)
 // that drive the data-dependent algorithms' behaviour.
 
@@ -151,7 +151,7 @@ const CensusRows = 49436
 
 // Census generates the synthetic CPS-like table: heavy-tailed income
 // (log-normal mixture), age/status correlation, skewed race and gender
-// marginals. See DESIGN.md §5.
+// marginals — the properties the paper's Census experiments exercise.
 func Census(seed uint64) *Table {
 	rng := newRand(seed)
 	t := New(CensusSchema)

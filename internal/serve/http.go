@@ -126,10 +126,19 @@ func clientErr(err error) error {
 	return httpError{http.StatusBadRequest, err.Error()}
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// MaxBodyBytes caps every request body the service (and the cluster
+// router in front of it) reads; a longer body is refused with 413
+// before it is buffered.
+const MaxBodyBytes = 16 << 20
+
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return httpError{http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+		}
 		return httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
 	}
 	return nil
@@ -199,7 +208,7 @@ type createRequest struct {
 
 func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	var req createRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -245,7 +254,7 @@ type measureRequest struct {
 
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request, d *Dataset) {
 	var req measureRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -322,7 +331,7 @@ type planRequest struct {
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, d *Dataset) {
 	var req planRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -353,7 +362,7 @@ type queryRequest struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, d *Dataset) {
 	var req queryRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -288,8 +287,8 @@ func (d *Dataset) Primary() string { return d.primary }
 // post-processing over it. With persistence enabled the follower
 // restores its locally shipped log exactly like a primary would.
 func (s *Server) CreateFollower(name string, domain int, epsTotal float64, seed uint64, solverName string, damping float64, primary string) (*Dataset, error) {
-	if domain <= 0 || !(epsTotal > 0) || math.IsInf(epsTotal, 0) {
-		return nil, fmt.Errorf("serve: follower needs positive domain and finite positive budget")
+	if err := checkCreate(domain, epsTotal); err != nil {
+		return nil, err
 	}
 	if primary == "" {
 		return nil, fmt.Errorf("serve: follower needs the primary's address")

@@ -17,15 +17,14 @@
 // cache keyed by (measurement-log generation, workload fingerprint,
 // solver) — see cache.go. With Config.StateDir set, every measurement
 // commit is made durable before the request returns and is restored
-// (spent budget included) when the dataset is re-created. The default
-// backend (Config.Persist = PersistWAL) appends one CRC-framed record
-// per commit to a per-dataset write-ahead log that is periodically
-// compacted into a snapshot-format checkpoint; torn log tails truncate
-// cleanly on restart, and an unrecoverable disk error degrades the
-// dataset to explicit read-only (ErrReadOnly, HTTP 503) while queries
-// keep serving — see walstate.go. The legacy full-snapshot-per-commit
-// backend remains as Config.Persist = PersistSnapshot (persist.go); its
-// files load unmodified under the WAL backend.
+// (spent budget included) when the dataset is re-created. Each commit
+// appends one CRC-framed record to a per-dataset write-ahead log that
+// is periodically compacted into a checkpoint in the snapshot format
+// (persist.go); torn log tails truncate cleanly on restart, and an
+// unrecoverable disk error degrades the dataset to explicit read-only
+// (ErrReadOnly, HTTP 503) while queries keep serving — see walstate.go.
+// A state directory holding only a snapshot file (no log) loads it as
+// the checkpoint.
 //
 // The WAL doubles as the serve tier's replication stream (repl.go):
 // every dataset serves its commit history as verbatim frames
@@ -144,14 +143,11 @@ type Config struct {
 	CacheSize int
 	// StateDir, when non-empty, enables measurement-log persistence
 	// under this directory: creating a dataset with a previously used
-	// name loads its state back, budget accounting included.
+	// name loads its state back, budget accounting included. Each commit
+	// appends one CRC-framed write-ahead-log record (O(delta) bytes),
+	// compacted into a checkpoint every CheckpointEvery records; see
+	// walstate.go.
 	StateDir string
-	// Persist selects the durability backend under StateDir: PersistWAL
-	// (the default — one appended, CRC-framed log record per commit,
-	// O(delta) bytes, with checkpoint compaction; see walstate.go) or
-	// PersistSnapshot (the legacy full-snapshot rewrite per commit, kept
-	// behind this flag for one release).
-	Persist string
 	// Fsync is the WAL fsync policy: wal.PolicyAlways (default — one
 	// record is one privacy-relevant commit), wal.PolicyInterval, or
 	// wal.PolicyNever.
@@ -204,9 +200,6 @@ func (c *Config) fill() {
 	}
 	if c.CacheSize < 0 {
 		c.CacheSize = 0 // disabled; newPanelCache returns nil
-	}
-	if c.Persist == "" {
-		c.Persist = PersistWAL
 	}
 	if c.Fsync == "" {
 		c.Fsync = wal.PolicyAlways
@@ -322,16 +315,11 @@ type Server struct {
 }
 
 // New returns an empty server. It panics on a Config.Solver outside
-// Solvers(), an unknown Config.Persist backend, or an invalid
-// Config.Fsync policy — startup configuration errors, not runtime
-// conditions.
+// Solvers() or an invalid Config.Fsync policy — startup configuration
+// errors, not runtime conditions.
 func New(cfg Config) *Server {
 	if !validSolver(cfg.Solver) {
 		panic(fmt.Sprintf("serve: unknown solver %q (have %v)", cfg.Solver, Solvers()))
-	}
-	if !validPersist(cfg.Persist) {
-		panic(fmt.Sprintf("serve: unknown persistence backend %q (have %q, %q)",
-			cfg.Persist, PersistWAL, PersistSnapshot))
 	}
 	if !wal.ValidPolicy(cfg.Fsync) {
 		panic(fmt.Sprintf("serve: unknown fsync policy %q (have %q, %q, %q)",
@@ -453,22 +441,23 @@ type Dataset struct {
 	// cache memoizes answered workloads per (generation, fingerprint,
 	// solver); nil when disabled.
 	cache *panelCache
-	// statePath is the snapshot/checkpoint file for persistence (""
-	// disables); walPath and panelPath are the WAL backend's log and
-	// advisory warm-start sidecar (walstate.go). All persistence I/O
-	// goes through fs so tests can inject faults and count bytes.
+	// statePath is the checkpoint file, in the snapshot format (""
+	// disables persistence); walPath and panelPath are the write-ahead
+	// log and the advisory warm-start sidecar (walstate.go). All
+	// persistence I/O goes through fs so tests can inject faults and
+	// count bytes.
 	statePath string
 	walPath   string
 	panelPath string
 	fs        wal.FS
-	// wlog is the open write-ahead log (nil: snapshot backend or no
-	// persistence); walRecs counts records since the last checkpoint,
-	// triggering compaction at Config.CheckpointEvery.
+	// wlog is the open write-ahead log (nil: no persistence); walRecs
+	// counts records since the last checkpoint, triggering compaction
+	// at Config.CheckpointEvery.
 	wlog    *wal.Log
 	walRecs int
 	// panelDirty marks the estimate panel as changed since its last
-	// sidecar write; the next commit persists it (legacy snapshot
-	// timing — one generation behind the log).
+	// sidecar write; the next commit persists it (one generation behind
+	// the log).
 	panelDirty bool
 	// readOnly is the graceful-degradation latch: set (with roCause)
 	// when the WAL cannot be appended, it fails further writes with
@@ -508,31 +497,23 @@ type Dataset struct {
 }
 
 // CreateDataset registers a synthetic dataset (dataset.Synthetic1D
-// kinds) protected by a fresh kernel with the given global budget. All
-// kernel randomness derives from seed.
+// kinds) protected by a fresh kernel with the given global budget, on
+// the server's default solver. All kernel randomness derives from seed.
 func (s *Server) CreateDataset(name, kind string, n int, scale float64, seed uint64, epsTotal float64) (*Dataset, error) {
-	return s.CreateDatasetWithSolver(name, kind, n, scale, seed, epsTotal, "")
+	return s.CreateDatasetWithOptions(name, kind, n, scale, seed, epsTotal, "", 0)
 }
 
-// CreateDatasetWithSolver is CreateDataset with a per-dataset estimate
+// CreateDatasetWithOptions is CreateDataset with a per-dataset estimate
 // solver (one of Solvers(); empty uses the server default), so the
 // dataset is constructed — batcher and all — already on the requested
-// solver.
-func (s *Server) CreateDatasetWithSolver(name, kind string, n int, scale float64, seed uint64, epsTotal float64, solverName string) (*Dataset, error) {
-	return s.CreateDatasetWithOptions(name, kind, n, scale, seed, epsTotal, solverName, 0)
-}
-
-// CreateDatasetWithOptions is CreateDatasetWithSolver with the
-// per-dataset Tikhonov damping λ (the HTTP "damping" field): the
+// solver, and a Tikhonov damping λ (the HTTP "damping" field): the
 // estimate solve minimizes ‖Ax − y‖² + λ²·‖x − x₀‖², which steadies
 // ill-conditioned or rank-deficient measurement logs (restored
 // snapshots included) at the cost of a small bias. Damping requires a
 // solver with a damped form ("lsmr" or "normal").
 func (s *Server) CreateDatasetWithOptions(name, kind string, n int, scale float64, seed uint64, epsTotal float64, solverName string, damping float64) (*Dataset, error) {
-	// !(x > 0) rather than x <= 0: NaN budgets must not reach the
-	// kernel, whose accounting requires a finite positive total.
-	if n <= 0 || !(epsTotal > 0) || math.IsInf(epsTotal, 0) {
-		return nil, fmt.Errorf("serve: dataset needs positive domain and finite positive budget")
+	if err := checkCreate(n, epsTotal); err != nil {
+		return nil, err
 	}
 	if !validSolver(solverName) {
 		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownSolver, solverName, Solvers())
@@ -541,13 +522,20 @@ func (s *Server) CreateDatasetWithOptions(name, kind string, n int, scale float6
 	return s.addDataset(name, x, seed, epsTotal, solverName, damping, "")
 }
 
-// CreateDatasetFromVector registers a dataset from an explicit data
-// vector.
-func (s *Server) CreateDatasetFromVector(name string, x []float64, seed uint64, epsTotal float64) (*Dataset, error) {
-	if len(x) == 0 || !(epsTotal > 0) || math.IsInf(epsTotal, 0) {
-		return nil, fmt.Errorf("serve: dataset needs positive domain and finite positive budget")
+// checkCreate validates the public shape every dataset create shares
+// (primary and follower alike) before anything is allocated: a positive
+// domain no larger than the snapshot loader accepts, so every dataset
+// that can be created can also be restored, and a finite positive
+// budget. !(x > 0) rather than x <= 0: NaN budgets must not reach the
+// kernel, whose accounting requires a finite positive total.
+func checkCreate(n int, epsTotal float64) error {
+	if n <= 0 || n > maxSnapshotDomain {
+		return fmt.Errorf("serve: dataset domain %d outside [1, %d]", n, maxSnapshotDomain)
 	}
-	return s.addDataset(name, x, seed, epsTotal, "", 0, "")
+	if !(epsTotal > 0) || math.IsInf(epsTotal, 0) {
+		return fmt.Errorf("serve: dataset needs a finite positive budget, got %g", epsTotal)
+	}
+	return nil
 }
 
 // addDataset constructs and registers a dataset. A non-empty primary
@@ -585,17 +573,13 @@ func (s *Server) addDataset(name string, x []float64, seed uint64, epsTotal floa
 	}
 	if s.cfg.StateDir != "" {
 		d.statePath = snapshotPath(s.cfg.StateDir, name)
+		d.walPath = walFilePath(s.cfg.StateDir, name)
+		d.panelPath = panelFilePath(s.cfg.StateDir, name)
 		// Restore the persisted measurement log (and its spent budget)
 		// before the dataset becomes visible; persisted state that exists
 		// but does not validate fails the create rather than silently
 		// handing back budget that was already spent.
-		if s.cfg.Persist == PersistWAL {
-			d.walPath = walFilePath(s.cfg.StateDir, name)
-			d.panelPath = panelFilePath(s.cfg.StateDir, name)
-			if err := d.loadStateWAL(); err != nil {
-				return nil, err
-			}
-		} else if err := d.loadState(); err != nil {
+		if err := d.loadStateWAL(); err != nil {
 			return nil, err
 		}
 	}
@@ -886,12 +870,12 @@ func canonicalBlocks(blocks []measBlock) []measBlock {
 
 // commitBlocksLocked appends newly measured blocks to the warm log,
 // bumps the log generation (invalidating every cached workload answer),
-// marks the panel stale and persists the snapshot. Caller holds d.mu
+// marks the panel stale and appends the commit's WAL record. Caller holds d.mu
 // and must pass blocks already in snapshot-canonical form (Dense or
 // CSR, via canonicalBlocks) so a log reloaded after a restart is
 // byte-identical solver input. Canonicalization happens *outside* the
 // lock because implicit-matrix extraction is real matvec work; what
-// stays inside is append/bump plus the snapshot encode+write, so
+// stays inside is append/bump plus the record encode+append, so
 // concurrent queries are never answered from a half-committed log.
 // Appending advances d.rows while d.panelRows stays at the covered
 // prefix — the gap between the two is the generation delta the next
@@ -924,7 +908,7 @@ func (d *Dataset) commitBlocksLocked(blocks []measBlock, meta commitMeta) AuditR
 	if err != nil {
 		// The measurement is committed and its budget spent; failing the
 		// request now would invite a retry and a double spend. Surface the
-		// durability gap loudly instead — and on the WAL backend, degrade
+		// durability gap loudly instead — and, with persistence on, degrade
 		// to read-only so the gap between memory and disk cannot widen.
 		//lint:ignore lockscope error path: one line at the moment durability is lost, then the read-only degrade stops further writes
 		log.Printf("serve: dataset %q: persist failed: %v", d.name, err)
@@ -997,10 +981,10 @@ func (d *Dataset) MeasurePlan(name string, eps float64, params plans.Params) (Pl
 	if execErr != nil {
 		// The operators that completed before the failure have already
 		// charged the kernel, and that spend is permanent. Persist it even
-		// though no measurements land: a snapshot frozen at the
-		// pre-failure consumption would let a restarted server re-grant
-		// the spent budget — the exact violation persistence exists to
-		// prevent. The WAL backend logs it as one budget-restore record.
+		// though no measurements land, as one budget-restore record: a log
+		// frozen at the pre-failure consumption would let a restarted
+		// server re-grant the spent budget — the exact violation
+		// persistence exists to prevent.
 		meta := commitMeta{Op: "plan-failed:" + name, Session: sess.ID(), Charges: sess.Charges(), Eps: sess.Consumed()}
 		d.mu.Lock()
 		perr := d.commitSpendLocked(meta)

@@ -361,6 +361,60 @@ func TestServeRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestCreateRejectsUnrestorableDomain pins create to the snapshot
+// loader's domain bound, so nothing that can be created is refused on
+// reload: HTTP create answers 400, follower creation errors, and the
+// check runs before the data vector is allocated.
+func TestCreateRejectsUnrestorableDomain(t *testing.T) {
+	s, ts := newTestServer(t)
+	huge := maxSnapshotDomain + 1
+	status, body := postJSON(t, ts.URL+"/v1/datasets", createRequest{Name: "huge", N: huge, EpsTotal: 1}, nil)
+	if status != http.StatusBadRequest {
+		t.Fatalf("create with domain %d: status %d (%s), want 400", huge, status, body)
+	}
+	if _, err := s.CreateFollower("huge", huge, 1, 3, "", 0, "http://primary"); err == nil {
+		t.Fatalf("follower with domain %d accepted", huge)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := s.CreateDatasetWithOptions("huge", "piecewise", huge, 1000, 3, 1, "", 0)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("create with domain %d accepted", huge)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejected create allocated %d bytes first", grew)
+	}
+	if _, ok := s.Dataset("huge"); ok {
+		t.Fatal("rejected dataset registered")
+	}
+}
+
+// TestServeBodyLimit pins the request-body cap: a body of exactly
+// MaxBodyBytes is decoded, one byte more is refused with 413.
+func TestServeBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t)
+	post := func(name string, size int) int {
+		t.Helper()
+		head := `{"name":"` + name + `",`
+		tail := `"n":8,"eps_total":1}`
+		// Whitespace inside the object: the decoder must read all of it.
+		body := head + strings.Repeat(" ", size-len(head)-len(tail)) + tail
+		resp, err := http.Post(ts.URL+"/v1/datasets", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := post("at", MaxBodyBytes); got != http.StatusCreated {
+		t.Fatalf("body of exactly %d bytes: status %d, want 201", MaxBodyBytes, got)
+	}
+	if got := post("over", MaxBodyBytes+1); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of %d bytes: status %d, want 413", MaxBodyBytes+1, got)
+	}
+}
+
 // TestServeLSMRSolverEndToEnd drives the whole HTTP surface with the
 // lsmr solver selected through the create-dataset endpoint: the summary
 // reports the solver, answers match the dataset truth, and the solve

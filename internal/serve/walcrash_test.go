@@ -323,14 +323,14 @@ func TestWALCompactionRestart(t *testing.T) {
 	}
 }
 
-// TestWALLegacySnapshotMigration starts a dataset on the legacy
-// snapshot backend, then reopens the same state directory under the
-// default WAL backend: the snapshot loads as the checkpoint with no
-// migration step, answers stay bitwise, and new commits append to a
-// fresh log.
+// TestWALLegacySnapshotMigration builds a legacy state directory — a
+// snapshot-format file and no log — by checkpointing after every commit
+// and then deleting the log and panel sidecar, and reopens it: the
+// snapshot loads as the checkpoint with no migration step, answers stay
+// bitwise, and new commits append to a fresh log.
 func TestWALLegacySnapshotMigration(t *testing.T) {
 	dir := t.TempDir()
-	s1 := New(Config{StateDir: dir, Persist: PersistSnapshot})
+	s1 := New(Config{StateDir: dir, CheckpointEvery: 1})
 	d1, err := s1.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -344,15 +344,23 @@ func TestWALLegacySnapshotMigration(t *testing.T) {
 	}
 	sumBefore := d1.Summary()
 	s1.Close()
+	for _, p := range []string{walFilePath(dir, "mig"), panelFilePath(dir, "mig")} {
+		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(snapshotPath(dir, "mig")); err != nil {
+		t.Fatalf("checkpoint missing from the legacy state dir: %v", err)
+	}
 	if _, err := os.Stat(walFilePath(dir, "mig")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("snapshot backend wrote a wal: %v", err)
+		t.Fatalf("legacy state dir still holds a wal: %v", err)
 	}
 
 	s2 := New(Config{StateDir: dir})
 	defer s2.Close()
 	d2, err := s2.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
 	if err != nil {
-		t.Fatalf("legacy state dir refused by WAL backend: %v", err)
+		t.Fatalf("legacy state dir refused: %v", err)
 	}
 	sumAfter := d2.Summary()
 	if sumAfter.Consumed != sumBefore.Consumed || sumAfter.MeasuredRows != sumBefore.MeasuredRows {
@@ -372,6 +380,6 @@ func TestWALLegacySnapshotMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(walFilePath(dir, "mig")); err != nil {
-		t.Fatalf("WAL backend did not open a log on legacy state: %v", err)
+		t.Fatalf("no log opened on legacy state: %v", err)
 	}
 }
